@@ -227,15 +227,15 @@ func BenchmarkAblationAlpha(b *testing.B) {
 	stable := 1.0
 	for i := 0; i < b.N; i++ {
 		for _, top := range numa.Machines() {
-			ps, err := core.Choose(svm, rcv1, top)
+			ps, err := core.ChoosePlanModel(core.NewGLM(svm, rcv1), top, core.ExecSimulated, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			pl, err := core.Choose(lp, amazon, top)
+			pl, err := core.ChoosePlanModel(core.NewGLM(lp, amazon), top, core.ExecSimulated, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if ps.Access != model.RowWise || pl.Access == model.RowWise {
+			if ps.Plan.Access != model.RowWise || pl.Plan.Access == model.RowWise {
 				stable = 0
 			}
 		}

@@ -17,8 +17,6 @@ func TestErrorRateGate(t *testing.T) {
 		{"clean run passes", report{Issued: 100}, 0.01, 0, false},
 		{"rate at threshold passes", report{Issued: 100, Errors: 1}, 0.01, 0.01, false},
 		{"rate above threshold fails", report{Issued: 100, Errors: 2}, 0.01, 0.02, true},
-		{"rejected count toward the rate", report{Issued: 100, Rejected: 5}, 0.04, 0.05, true},
-		{"errors and rejections combine", report{Issued: 200, Errors: 5, Rejected: 5}, 0.04, 0.05, true},
 		{"zero issued with active gate fails", report{}, 0.5, 1, true},
 		{"zero tolerance fails on any error", report{Issued: 1000, Errors: 1}, 0, 0.001, true},
 		{"zero tolerance passes a clean run", report{Issued: 1000}, 0, 0, false},

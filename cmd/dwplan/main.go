@@ -75,10 +75,10 @@ func main() {
 			a, st.DataWords, st.ModelReads, st.ModelWrites, st.AuxReads, st.AuxWrites, st.Flops)
 	}
 
-	plan, err := core.Choose(spec, ds, top)
+	dec, err := core.ChoosePlanModel(core.NewGLM(spec, ds), top, core.ExecSimulated, nil)
 	if err != nil {
 		die(err)
 	}
-	fmt.Printf("\nchosen plan: %s\n", plan)
+	fmt.Printf("\nchosen plan: %s\n", dec.Plan)
 	fmt.Printf("cost ratio (Figure 7b, alpha=%.0f): %.3f\n", top.Alpha(), core.CostRatio(ds, top.Alpha()))
 }

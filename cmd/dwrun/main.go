@@ -120,10 +120,11 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	plan, err := core.ChooseExecutor(spec, ds, top, exec)
+	dec, err := core.ChoosePlanModel(core.NewGLM(spec, ds), top, exec, nil)
 	if err != nil {
 		die(err)
 	}
+	plan := dec.Plan
 	switch strings.ToLower(*access) {
 	case "":
 	case "row":

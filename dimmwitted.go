@@ -18,8 +18,9 @@
 //
 //	ds := dimmwitted.Reuters()                   // synthetic RCV1-style corpus
 //	spec := dimmwitted.SVM()                     // hinge-loss model spec
-//	plan, _ := dimmwitted.Choose(spec, ds, dimmwitted.Local2)
-//	eng, _ := dimmwitted.New(spec, ds, plan)
+//	wl := dimmwitted.GLMWorkload(spec, ds)
+//	dec, _ := dimmwitted.ChoosePlanModel(wl, dimmwitted.Local2, dimmwitted.ExecSimulated, nil)
+//	eng, _ := dimmwitted.NewWorkloadEngine(wl, dec.Plan)
 //	res := eng.RunToLoss(0.1, 50)
 //	fmt.Println(res.Converged, res.Epochs, res.Time, res.FinalLoss)
 //
@@ -177,10 +178,20 @@ func NNDatasetByName(name string) (*NNDataset, []int, error) { return nn.Dataset
 // NNDatasetNames lists the registered NN dataset names.
 func NNDatasetNames() []string { return nn.DatasetNames() }
 
-// ChooseWorkload runs a workload's cost-based optimizer for a topology
-// and execution backend.
-func ChooseWorkload(wl Workload, top Topology, exec ExecutorKind) (Plan, error) {
-	return core.ChooseWorkload(wl, top, exec)
+// CostModel supplies measured seconds per epoch for candidate plans;
+// once it reports a cost, that overrides the static prior.
+type CostModel = core.CostModel
+
+// PlanDecision is the optimizer's result: the chosen plan, whether the
+// static prior or a measurement decided, and every candidate's cost.
+type PlanDecision = core.PlanDecision
+
+// ChoosePlanModel runs the cost-based optimizer for a workload,
+// topology and execution backend. A nil cost model means the static
+// prior alone; the parallel backend restricts GLM plans to row-wise
+// access.
+func ChoosePlanModel(wl Workload, top Topology, exec ExecutorKind, cm CostModel) (PlanDecision, error) {
+	return core.ChoosePlanModel(wl, top, exec, cm)
 }
 
 // The paper's five machine configurations (Figure 3).
@@ -194,17 +205,6 @@ var (
 
 // New builds an engine for a spec, dataset and plan.
 func New(spec Spec, ds *Dataset, plan Plan) (*Engine, error) { return core.New(spec, ds, plan) }
-
-// Choose runs the cost-based optimizer and returns a complete plan
-// for the simulated backend.
-func Choose(spec Spec, ds *Dataset, top Topology) (Plan, error) { return core.Choose(spec, ds, top) }
-
-// ChooseExecutor runs the cost-based optimizer for a specific
-// execution backend; the parallel backend restricts the priced access
-// methods to row-wise.
-func ChooseExecutor(spec Spec, ds *Dataset, top Topology, exec ExecutorKind) (Plan, error) {
-	return core.ChooseExecutor(spec, ds, top, exec)
-}
 
 // Explain returns the optimizer's cost estimates per access method.
 func Explain(spec Spec, ds *Dataset, top Topology) []CostEstimate {
@@ -283,13 +283,11 @@ func Predict(spec Spec, x []float64, examples []Example) ([]float64, error) {
 
 // Server is the HTTP serving front end: POST /v1/train, GET
 // /v1/jobs/{id}, POST /v1/predict, GET /v1/stats (see internal/serve).
-// Prediction serving runs on a sharded, lock-free-read model registry;
-// ServeOptions.BatchWindow additionally coalesces concurrent
-// /v1/predict requests into micro-batches with admission control.
+// Prediction serving runs on a sharded, lock-free-read model registry.
 type Server = serve.Server
 
 // ServeOptions configures a server or scheduler (worker slots, durable
-// stores, predict micro-batching).
+// stores, the optimizer's feedback loop).
 type ServeOptions = serve.Options
 
 // Registry is the model registry servers predict from: lock-striped
@@ -303,9 +301,6 @@ func NewRegistry() *Registry { return serve.NewRegistry() }
 // ModelInfo is one row of the registry's model listing.
 type ModelInfo = serve.ModelInfo
 
-// BatchStats summarises the predict micro-batcher in /v1/stats.
-type BatchStats = serve.BatchStats
-
 // LatencySnapshot is a per-route latency percentile summary
 // (p50/p95/p99) as reported under "latency" in /v1/stats.
 type LatencySnapshot = metrics.HistogramSnapshot
@@ -313,10 +308,6 @@ type LatencySnapshot = metrics.HistogramSnapshot
 // ErrUnknownModel reports a registry miss (HTTP 404 on /v1/predict);
 // match it with errors.Is.
 var ErrUnknownModel = serve.ErrUnknownModel
-
-// ErrPredictOverloaded reports predict admission control turning a
-// request away (HTTP 429 + Retry-After); match it with errors.Is.
-var ErrPredictOverloaded = serve.ErrOverloaded
 
 // Scheduler runs training jobs asynchronously on a worker pool sized
 // from the NUMA topology.

@@ -6,14 +6,15 @@ import "testing"
 func TestQuickstart(t *testing.T) {
 	ds := Reuters()
 	spec := SVM()
-	plan, err := Choose(spec, ds, Local2)
+	wl := GLMWorkload(spec, ds)
+	dec, err := ChoosePlanModel(wl, Local2, ExecSimulated, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Access != RowWise || plan.ModelRep != PerNode {
+	if plan := dec.Plan; plan.Access != RowWise || plan.ModelRep != PerNode {
 		t.Errorf("unexpected plan %v", plan)
 	}
-	eng, err := New(spec, ds, plan)
+	eng, err := NewWorkloadEngine(wl, dec.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +61,11 @@ func TestFacadeExplainAndParallelExecutor(t *testing.T) {
 	if _, err := ExecutorByName("bogus"); err == nil {
 		t.Error("bogus executor name accepted")
 	}
-	plan, err := ChooseExecutor(SVM(), Reuters(), Local2, ExecParallel)
+	dec, err := ChoosePlanModel(GLMWorkload(SVM(), Reuters()), Local2, ExecParallel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := dec.Plan
 	if plan.Access != RowWise || plan.Executor != ExecParallel {
 		t.Errorf("parallel plan chose %v/%v", plan.Access, plan.Executor)
 	}

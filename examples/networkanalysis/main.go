@@ -18,10 +18,11 @@ func main() {
 	fmt.Printf("graph LP: %d edges (constraints), %d vertices\n", lp.Rows(), lp.Cols())
 
 	spec := dimmwitted.LP()
-	plan, err := dimmwitted.Choose(spec, lp, dimmwitted.Local2)
+	dec, err := dimmwitted.ChoosePlanModel(dimmwitted.GLMWorkload(spec, lp), dimmwitted.Local2, dimmwitted.ExecSimulated, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
+	plan := dec.Plan
 	fmt.Printf("optimizer plan: %s\n\n", plan)
 
 	// Column-wise coordinate descent vs row-wise SGD, both run for the
@@ -66,11 +67,13 @@ func main() {
 	// QP: graph smoothing with anchors.
 	qp := dimmwitted.AmazonQP()
 	qpSpec := dimmwitted.QP()
-	qpPlan, err := dimmwitted.Choose(qpSpec, qp, dimmwitted.Local2)
+	qpWl := dimmwitted.GLMWorkload(qpSpec, qp)
+	qpDec, err := dimmwitted.ChoosePlanModel(qpWl, dimmwitted.Local2, dimmwitted.ExecSimulated, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	qpEng, err := dimmwitted.New(qpSpec, qp, qpPlan)
+	qpPlan := qpDec.Plan
+	qpEng, err := dimmwitted.NewWorkloadEngine(qpWl, qpPlan)
 	if err != nil {
 		log.Fatal(err)
 	}

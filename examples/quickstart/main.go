@@ -15,15 +15,16 @@ func main() {
 
 	// Let the cost-based optimizer pick the access method, model
 	// replication and data replication for a 2-socket machine.
-	plan, err := dimmwitted.Choose(spec, ds, dimmwitted.Local2)
+	wl := dimmwitted.GLMWorkload(spec, ds)
+	dec, err := dimmwitted.ChoosePlanModel(wl, dimmwitted.Local2, dimmwitted.ExecSimulated, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("dataset: %s (%d examples, %d features, %d nonzeros)\n",
 		ds.Name, ds.Rows(), ds.Cols(), ds.NNZ())
-	fmt.Printf("plan:    %s\n\n", plan)
+	fmt.Printf("plan:    %s\n\n", dec.Plan)
 
-	eng, err := dimmwitted.New(spec, ds, plan)
+	eng, err := dimmwitted.NewWorkloadEngine(wl, dec.Plan)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,10 +25,11 @@ func main() {
 			fmt.Printf("cost[%s] = %.3g reads + alpha x %.3g writes = %.3g\n",
 				est.Access, est.Reads, est.Writes, est.Cost)
 		}
-		plan, err := dimmwitted.Choose(spec, ds, dimmwitted.Local2)
+		dec, err := dimmwitted.ChoosePlanModel(dimmwitted.GLMWorkload(spec, ds), dimmwitted.Local2, dimmwitted.ExecSimulated, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
+		plan := dec.Plan
 		fmt.Printf("chosen plan: %s\n\n", plan)
 
 		// Compare the three model-replication strategies at the chosen

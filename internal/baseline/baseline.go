@@ -61,7 +61,8 @@ const (
 func PlanFor(sys System, spec model.Spec, ds *data.Dataset, top numa.Topology) (core.Plan, error) {
 	switch sys {
 	case DimmWitted:
-		return core.Choose(spec, ds, top)
+		dec, err := core.ChoosePlanModel(core.NewGLM(spec, ds), top, core.ExecSimulated, nil)
+		return dec.Plan, err
 	case Hogwild:
 		if !supports(spec, model.RowWise) {
 			return core.Plan{}, fmt.Errorf("baseline: %s requires a row-wise method for %s", sys, spec.Name())

@@ -135,8 +135,9 @@ func TestGraphLabCompetitiveOnLP(t *testing.T) {
 	spec := model.NewLP()
 	ds := data.AmazonLP()
 	optimal := func() float64 {
-		plan, _ := core.Choose(spec, ds, numa.Local2)
-		e, _ := core.New(spec, ds, plan)
+		wl := core.NewGLM(spec, ds)
+		dec, _ := core.ChoosePlanModel(wl, numa.Local2, core.ExecSimulated, nil)
+		e, _ := core.NewWorkload(wl, dec.Plan)
 		return e.RunEpochs(60)[59].Loss
 	}()
 	target := optimal * 1.05

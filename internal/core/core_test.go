@@ -261,10 +261,7 @@ func TestOptimizerChoosesPaperPlans(t *testing.T) {
 		{model.NewQP(), data.GoogleQP(), model.ColToRow, PerMachine},
 	}
 	for _, c := range cases {
-		plan, err := Choose(c.spec, c.ds, numa.Local2)
-		if err != nil {
-			t.Fatalf("Choose(%s, %s): %v", c.spec.Name(), c.ds.Name, err)
-		}
+		plan := choosePlan(t, c.spec, c.ds, numa.Local2, ExecSimulated)
 		if plan.Access != c.want {
 			t.Errorf("%s on %s: chose %v, want %v", c.spec.Name(), c.ds.Name, plan.Access, c.want)
 		}
@@ -284,10 +281,7 @@ func TestOptimizerRobustToAlpha(t *testing.T) {
 	for _, alphaNodes := range []int{2, 4, 8} {
 		top := numa.Local2
 		top.Nodes = alphaNodes
-		plan, err := Choose(model.NewSVM(), ds, top)
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := choosePlan(t, model.NewSVM(), ds, top, ExecSimulated)
 		if plan.Access != model.RowWise {
 			t.Errorf("alpha(%d nodes): SVM access flipped to %v", alphaNodes, plan.Access)
 		}

@@ -91,21 +91,8 @@ func New(spec model.Spec, ds *data.Dataset, plan Plan) (*Engine, error) {
 // replication and placement choices. The workload binds to this engine
 // (Bind, NewReplica) and must not be reused for another.
 func NewWorkload(wl Workload, plan Plan) (*Engine, error) {
-	plan = plan.normalizeCommon()
-	plan = wl.NormalizePlan(plan)
-	if err := plan.validateCommon(); err != nil {
-		return nil, err
-	}
-	supported := false
-	for _, a := range wl.Supports() {
-		if a == plan.Access {
-			supported = true
-		}
-	}
-	if !supported {
-		return nil, fmt.Errorf("core: %s does not support %s access", wl.Name(), plan.Access)
-	}
-	if err := wl.ValidatePlan(plan); err != nil {
+	plan = normalizePlanFor(wl, plan)
+	if err := validatePlanFor(wl, plan); err != nil {
 		return nil, err
 	}
 	if plan.ModelRep == PerCluster {

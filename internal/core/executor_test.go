@@ -131,22 +131,16 @@ func (colOnlySpec) Supports() []model.Access { return []model.Access{model.ColWi
 func TestChooseExecutorParallelNeedsRowWise(t *testing.T) {
 	spec := colOnlySpec{model.NewLS()}
 	ds := data.MusicRegression()
-	if _, err := ChooseExecutor(spec, ds, numa.Local2, ExecParallel); err == nil {
+	if _, err := ChoosePlanModel(NewGLM(spec, ds), numa.Local2, ExecParallel, nil); err == nil {
 		t.Error("parallel plan chosen for a column-only spec")
 	}
-	plan, err := ChooseExecutor(spec, ds, numa.Local2, ExecSimulated)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := choosePlan(t, spec, ds, numa.Local2, ExecSimulated)
 	if plan.Access != model.ColWise {
 		t.Errorf("simulated choice picked %v", plan.Access)
 	}
 	// Every real spec has a row-wise method, so parallel choice works
 	// and pins row-wise access plus the executor in the plan.
-	pp, err := ChooseExecutor(model.NewQP(), data.AmazonQP(), numa.Local2, ExecParallel)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pp := choosePlan(t, model.NewQP(), data.AmazonQP(), numa.Local2, ExecParallel)
 	if pp.Access != model.RowWise || pp.Executor != ExecParallel {
 		t.Errorf("parallel QP plan = %v", pp)
 	}

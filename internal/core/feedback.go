@@ -64,14 +64,16 @@ const (
 	planSourceMeasured = "measured"
 )
 
-// normalizePlanFor runs the engine's normalization sequence without
-// binding: the common defaults, then the workload's own.
+// normalizePlanFor is the engine's normalization sequence, shared by
+// NewWorkload and the planner: the common defaults, then the
+// workload's own.
 func normalizePlanFor(wl Workload, p Plan) Plan {
 	return wl.NormalizePlan(p.normalizeCommon())
 }
 
-// validatePlanFor runs the engine's validation sequence without
-// binding, mirroring NewWorkload.
+// validatePlanFor is the engine's validation sequence, shared by
+// NewWorkload and the planner: the generic checks, the workload's
+// access methods, then the workload's own checks.
 func validatePlanFor(wl Workload, p Plan) error {
 	if err := p.validateCommon(); err != nil {
 		return err
@@ -141,12 +143,12 @@ func CandidatePlans(wl Workload, top numa.Topology, exec ExecutorKind) ([]Plan, 
 	return cands, nil
 }
 
-// ChoosePlanModel runs the feedback-aware optimizer: the static
-// simulated-NUMA estimate remains the prior (candidate 0 wins when
-// nothing is measured), but once the cost model reports measured costs
-// the cheapest measured candidate wins instead. A nil cost model
-// degrades to the static choice — ChooseWorkload with a candidate
-// table.
+// ChoosePlanModel is the optimizer's entry point. The workload's static
+// cost model is the prior (candidate 0 wins when nothing is measured),
+// but once the cost model reports measured costs the cheapest measured
+// candidate wins instead. A nil cost model means the static prior
+// alone: the workload's Optimize plan, normalized and validated as
+// NewWorkload would, with the candidate table for diagnostics.
 func ChoosePlanModel(wl Workload, top numa.Topology, exec ExecutorKind, cm CostModel) (PlanDecision, error) {
 	cands, err := CandidatePlans(wl, top, exec)
 	if err != nil {

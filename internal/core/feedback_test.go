@@ -30,7 +30,7 @@ func TestCandidatePlansStaticFirst(t *testing.T) {
 	if len(cands) < 2 {
 		t.Fatalf("candidate space has %d plans; want the static pick plus variants", len(cands))
 	}
-	static, err := ChooseWorkload(wl, numa.Local2, ExecSimulated)
+	static, err := wl.Optimize(numa.Local2, ExecSimulated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +77,9 @@ func TestChoosePlanModelStaticPrior(t *testing.T) {
 	if dec.Source != "static" {
 		t.Fatalf("Source = %q with no cost model, want static", dec.Source)
 	}
-	static, _ := ChooseWorkload(wl, numa.Local2, ExecSimulated)
+	static, _ := wl.Optimize(numa.Local2, ExecSimulated)
 	if dec.Plan.ModelRep != static.ModelRep || dec.Plan.Access != static.Access {
-		t.Fatalf("static decision %v differs from ChooseWorkload %v", dec.Plan, static)
+		t.Fatalf("static decision %v differs from the workload's Optimize %v", dec.Plan, static)
 	}
 	if dec.RunnerUp == nil {
 		t.Fatal("decision has no runner-up despite multiple candidates")

@@ -18,6 +18,10 @@ type glmWorkload struct {
 	spec model.Spec
 	ds   *data.Dataset
 	plan Plan
+	// valid is the dataset view whose Validate last passed. Views are
+	// immutable, so planning (one ValidatePlan per candidate) and the
+	// engine built after it check each view once.
+	valid *data.Dataset
 }
 
 // NewGLM wraps a model specification and dataset as an engine workload.
@@ -47,8 +51,11 @@ func (g *glmWorkload) ValidatePlan(p Plan) error {
 	if err := p.Validate(g.spec); err != nil {
 		return err
 	}
-	if err := g.ds.Validate(); err != nil {
-		return err
+	if g.valid != g.ds {
+		if err := g.ds.Validate(); err != nil {
+			return err
+		}
+		g.valid = g.ds
 	}
 	if p.DataRep == Importance && p.Access != model.RowWise {
 		return fmt.Errorf("core: Importance data replication requires row-wise access")
@@ -56,9 +63,76 @@ func (g *glmWorkload) ValidatePlan(p Plan) error {
 	return nil
 }
 
-// Optimize implements Workload via the Figure 6 cost-based optimizer.
+// Optimize implements Workload: the cost-based optimizer (Section 3.2)
+// plus the paper's replication rules of thumb (Sections 3.3–3.4):
+//
+//   - access method: the cheaper of the spec's supported methods under
+//     the literal Figure 6 cost model (PaperCost);
+//   - model replication: PerNode for row-wise (SGD-like) plans,
+//     PerMachine for column-wise (SCD-like) plans;
+//   - data replication: FullReplication ("if there is available
+//     memory, FullReplication seems preferable", Section 3.4).
+//
+// The executor narrows the plan space the cost model prices: the
+// parallel backend implements only row-wise methods (column-wise
+// auxiliary state is inconsistent under unsynchronized flushes), so
+// its candidate set is restricted to row-wise — or the choice fails
+// loudly for specs with no row-wise method (LP/QP's coordinate
+// descent) rather than silently falling back to the simulator.
 func (g *glmWorkload) Optimize(top numa.Topology, exec ExecutorKind) (Plan, error) {
-	return ChooseExecutor(g.spec, g.ds, top, exec)
+	spec, ds := g.spec, g.ds
+	supported := spec.Supports()
+	if len(supported) == 0 {
+		return Plan{}, fmt.Errorf("core: %s supports no access methods", spec.Name())
+	}
+	if exec == ExecParallel {
+		rowOK := false
+		for _, a := range supported {
+			if a == model.RowWise {
+				rowOK = true
+			}
+		}
+		if !rowOK {
+			return Plan{}, fmt.Errorf("core: %s has no row-wise method; the parallel executor cannot run it", spec.Name())
+		}
+		supported = []model.Access{model.RowWise}
+	}
+	best := supported[0]
+	bestCost := PaperCost(spec, ds, best, top)
+	for _, a := range supported[1:] {
+		if c := PaperCost(spec, ds, a, top); c < bestCost {
+			best, bestCost = a, c
+		}
+	}
+	plan := Plan{
+		Access:   best,
+		Machine:  top,
+		DataRep:  FullReplication,
+		Executor: exec,
+	}
+	if best == model.RowWise {
+		plan.ModelRep = PerNode
+	} else {
+		plan.ModelRep = PerMachine
+	}
+	if spec.Aggregate() {
+		// One-pass aggregates gain nothing statistically from seeing
+		// the data more than once; sharding minimises the work.
+		plan.DataRep = Sharding
+		plan.ModelRep = PerNode
+	}
+	if exec == ExecParallel {
+		// The pooled executor's epoch overhead is wakeups, not spawns
+		// (ExecutorOverheadCycles), and its fused sparse-aware flush
+		// costs O(coordinates dirtied) rather than O(dim): with both
+		// cheap, the remaining lever is flush frequency. A 64-step batch
+		// keeps the master-synchronization traffic an order of magnitude
+		// below the step work on the bundled sparse datasets while
+		// staying well inside the staleness the Hogwild! analysis
+		// tolerates.
+		plan.ChunkSize = 64
+	}
+	return plan, nil
 }
 
 // Bind implements Workload.
@@ -241,7 +315,7 @@ func (g *glmWorkload) Grow(view *data.Dataset) error {
 	if err := view.Validate(); err != nil {
 		return fmt.Errorf("core: grow: %w", err)
 	}
-	g.ds = view
+	g.ds, g.valid = view, view
 	return nil
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"dimmwitted/internal/data"
 	"dimmwitted/internal/model"
 	"dimmwitted/internal/numa"
@@ -108,89 +106,12 @@ const (
 // parallel backend pays one pool wakeup per worker — the persistent
 // pool's replacement for the old per-epoch goroutine-spawn cost, some
 // 25x dearer per worker. The estimate feeds the parallel chunk-size
-// choice below and diagnostics.
+// choice in the GLM optimizer and diagnostics.
 func ExecutorOverheadCycles(exec ExecutorKind, workers int) float64 {
 	if exec != ExecParallel {
 		return 0
 	}
 	return float64(workers) * poolWakeupCycles
-}
-
-// Choose runs the cost-based optimizer (Section 3.2) plus the paper's
-// replication rules of thumb (Sections 3.3–3.4) and returns a complete
-// plan for the spec/dataset/machine triple:
-//
-//   - access method: the cheaper of the spec's supported methods under
-//     the literal Figure 6 cost model (PaperCost);
-//   - model replication: PerNode for row-wise (SGD-like) plans,
-//     PerMachine for column-wise (SCD-like) plans;
-//   - data replication: FullReplication ("if there is available
-//     memory, FullReplication seems preferable", Section 3.4).
-func Choose(spec model.Spec, ds *data.Dataset, top numa.Topology) (Plan, error) {
-	return ChooseExecutor(spec, ds, top, ExecSimulated)
-}
-
-// ChooseExecutor runs the optimizer for a specific execution backend.
-// The executor narrows the plan space the cost model prices: the
-// parallel backend implements only row-wise methods (column-wise
-// auxiliary state is inconsistent under unsynchronized flushes), so
-// its candidate set is restricted to row-wise — or the choice fails
-// loudly for specs with no row-wise method (LP/QP's coordinate
-// descent) rather than silently falling back to the simulator.
-func ChooseExecutor(spec model.Spec, ds *data.Dataset, top numa.Topology, exec ExecutorKind) (Plan, error) {
-	supported := spec.Supports()
-	if len(supported) == 0 {
-		return Plan{}, fmt.Errorf("core: %s supports no access methods", spec.Name())
-	}
-	if exec == ExecParallel {
-		rowOK := false
-		for _, a := range supported {
-			if a == model.RowWise {
-				rowOK = true
-			}
-		}
-		if !rowOK {
-			return Plan{}, fmt.Errorf("core: %s has no row-wise method; the parallel executor cannot run it", spec.Name())
-		}
-		supported = []model.Access{model.RowWise}
-	}
-	best := supported[0]
-	bestCost := PaperCost(spec, ds, best, top)
-	for _, a := range supported[1:] {
-		if c := PaperCost(spec, ds, a, top); c < bestCost {
-			best, bestCost = a, c
-		}
-	}
-	plan := Plan{
-		Access:   best,
-		Machine:  top,
-		DataRep:  FullReplication,
-		Executor: exec,
-	}
-	if best == model.RowWise {
-		plan.ModelRep = PerNode
-	} else {
-		plan.ModelRep = PerMachine
-	}
-	if spec.Aggregate() {
-		// One-pass aggregates gain nothing statistically from seeing
-		// the data more than once; sharding minimises the work.
-		plan.DataRep = Sharding
-		plan.ModelRep = PerNode
-	}
-	plan = plan.Normalize(spec)
-	if exec == ExecParallel {
-		// The pooled executor's epoch overhead is wakeups, not spawns
-		// (ExecutorOverheadCycles), and its fused sparse-aware flush
-		// costs O(coordinates dirtied) rather than O(dim): with both
-		// cheap, the remaining lever is flush frequency. A 64-step batch
-		// keeps the master-synchronization traffic an order of magnitude
-		// below the step work on the bundled sparse datasets while
-		// staying well inside the staleness the Hogwild! analysis
-		// tolerates.
-		plan.ChunkSize = 64
-	}
-	return plan, plan.Validate(spec)
 }
 
 // ClusterEpochSeconds extends the cost model one level up the

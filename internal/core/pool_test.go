@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,18 +12,28 @@ import (
 	"dimmwitted/internal/model"
 )
 
-// goroutinesSettle polls until the live goroutine count drops to at
-// most want or the deadline passes, absorbing scheduler lag between a
-// pool's feed-channel close and its goroutines' exits.
-func goroutinesSettle(want int) int {
-	deadline := time.Now().Add(5 * time.Second)
+// poolLanes counts the goroutines parked in or running this executor's
+// laneLoop, read from a full stack dump: the receiver is the first
+// argument in each frame, so pools of other engines — and goroutines
+// other tests leave behind — are never counted.
+func poolLanes(p *parallelExecutor) int {
+	buf := make([]byte, 1<<20)
 	for {
-		n := runtime.NumGoroutine()
-		if n <= want || time.Now().After(deadline) {
-			return n
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
 		}
-		time.Sleep(time.Millisecond)
+		buf = make([]byte, 2*len(buf))
 	}
+	frame := fmt.Sprintf("(*parallelExecutor).laneLoop(%p", p)
+	lanes := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, frame+",") || strings.Contains(g, frame+"?") {
+			lanes++
+		}
+	}
+	return lanes
 }
 
 // TestPoolLifecycle pins the persistent pool's contract: goroutines
@@ -31,29 +42,37 @@ func goroutinesSettle(want int) int {
 // every one of them, Close is idempotent, and an epoch after Close
 // fails loudly instead of hanging on closed feeds.
 func TestPoolLifecycle(t *testing.T) {
-	base := runtime.NumGoroutine()
 	e := mustEngine(t, model.NewSVM(), data.Reuters(),
 		Plan{Executor: ExecParallel, Access: model.RowWise, Workers: 4, Seed: 1})
+	p := e.exec.(*parallelExecutor)
 
 	want := runtime.GOMAXPROCS(0)
 	if want > 4 {
 		want = 4
 	}
+	if n := poolLanes(p); n != 0 {
+		t.Fatalf("pool has %d lanes before the first epoch, want 0", n)
+	}
 	e.RunEpoch()
-	afterFirst := runtime.NumGoroutine()
-	if afterFirst < base+want {
-		t.Errorf("pool after first epoch: %d goroutines over baseline, want >= %d", afterFirst-base, want)
+	if n := poolLanes(p); n != want {
+		t.Errorf("pool after first epoch: %d lanes, want %d", n, want)
 	}
 	for i := 0; i < 5; i++ {
 		e.RunEpoch()
 	}
-	if n := runtime.NumGoroutine(); n > afterFirst {
-		t.Errorf("pool grew across epochs: %d goroutines after 6 epochs, %d after 1", n, afterFirst)
+	if n := poolLanes(p); n != want {
+		t.Errorf("pool across epochs: %d lanes after 6 epochs, want %d", n, want)
 	}
 
 	e.Close()
-	if n := goroutinesSettle(base); n > base {
-		t.Errorf("pool leaked: %d goroutines after Close, baseline %d", n, base)
+	// Close waits for every lane's deferred Done; a lane may still be
+	// unwinding out of laneLoop for a moment after that.
+	deadline := time.Now().Add(5 * time.Second)
+	for poolLanes(p) > 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := poolLanes(p); n != 0 {
+		t.Errorf("pool leaked: %d lanes after Close", n)
 	}
 	e.Close() // idempotent
 

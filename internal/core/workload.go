@@ -167,8 +167,9 @@ type Workload interface {
 	// ValidatePlan rejects plans the workload cannot execute, beyond
 	// the engine's generic checks.
 	ValidatePlan(p Plan) error
-	// Optimize is the workload's cost-based optimizer: a complete plan
-	// for the topology and execution backend.
+	// Optimize is the workload's static cost-based choice of plan for
+	// the topology and execution backend. Callers plan through
+	// ChoosePlanModel, which normalizes and validates it.
 	Optimize(top numa.Topology, exec ExecutorKind) (Plan, error)
 
 	// Bind fixes the normalized, validated plan the engine will run.
@@ -267,11 +268,4 @@ type Growable interface {
 type DataVersioner interface {
 	DataRows() int
 	DataVersion() uint64
-}
-
-// ChooseWorkload runs the workload's cost-based optimizer for a
-// topology and execution backend — the workload-generic analog of
-// ChooseExecutor.
-func ChooseWorkload(wl Workload, top numa.Topology, exec ExecutorKind) (Plan, error) {
-	return wl.Optimize(top, exec)
 }

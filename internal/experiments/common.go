@@ -150,11 +150,12 @@ func OptimalLoss(spec model.Spec, ds *data.Dataset) float64 {
 		return v
 	}
 	optMu.Unlock()
-	plan, err := core.Choose(spec, ds, numa.Local2)
+	wl := core.NewGLM(spec, ds)
+	dec, err := core.ChoosePlanModel(wl, numa.Local2, core.ExecSimulated, nil)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: choose(%s): %v", key, err))
 	}
-	eng, err := core.New(spec, ds, plan)
+	eng, err := core.NewWorkload(wl, dec.Plan)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: new(%s): %v", key, err))
 	}

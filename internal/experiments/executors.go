@@ -58,10 +58,11 @@ func ExecWallEntries(quick bool) []ExecWallEntry {
 				Dataset:  task.ds.Name,
 				Executor: exec.String(),
 			}
-			plan, err := core.ChooseExecutor(task.spec, task.ds, numa.Local2, exec)
+			wl := core.NewGLM(task.spec, task.ds)
+			dec, err := core.ChoosePlanModel(wl, numa.Local2, exec, nil)
 			var eng *core.Engine
 			if err == nil {
-				eng, err = core.New(task.spec, task.ds, plan)
+				eng, err = core.NewWorkload(wl, dec.Plan)
 			}
 			if err != nil {
 				entry.Error = err.Error()
@@ -71,7 +72,7 @@ func ExecWallEntries(quick bool) []ExecWallEntry {
 			start := time.Now()
 			res := eng.RunToLoss(0, epochs)
 			wall := time.Since(start)
-			entry.Plan = plan.String()
+			entry.Plan = dec.Plan.String()
 			entry.Epochs = res.Epochs
 			entry.WallSecondsPerEpoch = wall.Seconds() / float64(res.Epochs)
 			entry.FinalLoss = res.FinalLoss

@@ -306,10 +306,11 @@ func Fig14(quick bool) *Result {
 		{"QP/Google", model.NewQP(), data.GoogleQP()},
 	}
 	for _, c := range cases {
-		plan, err := core.Choose(c.spec, c.ds, numa.Local2)
+		dec, err := core.ChoosePlanModel(core.NewGLM(c.spec, c.ds), numa.Local2, core.ExecSimulated, nil)
 		if err != nil {
 			panic(err)
 		}
+		plan := dec.Plan
 		t.Rows = append(t.Rows, []string{c.label, plan.Access.String(), plan.ModelRep.String(), plan.DataRep.String()})
 		if plan.Access == model.RowWise {
 			metrics["row/"+c.label] = 1

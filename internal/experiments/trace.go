@@ -45,10 +45,11 @@ func TraceEntries(quick bool) []TraceEntry {
 	spec, ds := model.NewSVM(), data.ReutersReplicated()
 	for _, exec := range []core.ExecutorKind{core.ExecSimulated, core.ExecParallel} {
 		entry := TraceEntry{Workload: "glm", Task: spec.Name() + "/" + ds.Name, Executor: exec.String()}
-		plan, err := core.ChooseExecutor(spec, ds, numa.Local2, exec)
+		wl := core.NewGLM(spec, ds)
+		dec, err := core.ChoosePlanModel(wl, numa.Local2, exec, nil)
 		var eng *core.Engine
 		if err == nil {
-			eng, err = core.New(spec, ds, plan)
+			eng, err = core.NewWorkload(wl, dec.Plan)
 		}
 		if err != nil {
 			entry.Error = err.Error()

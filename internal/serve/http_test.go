@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -12,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"dimmwitted/internal/core"
 	"dimmwitted/internal/data"
 	"dimmwitted/internal/model"
+	"dimmwitted/internal/nn"
 	"dimmwitted/internal/numa"
 )
 
@@ -491,4 +494,119 @@ func TestHTTPDeleteStopsParallelJob(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Errorf("goroutines leaked: %d before, %d after cancel+close", before, runtime.NumGoroutine())
+}
+
+// TestPredictEquivalence: every /v1/predict answer is bit-identical to
+// calling the model's scorer on that request's examples, for all six
+// GLM specs plus the gibbs-marginal and nn-argmax serving paths, with
+// all requests in flight at once.
+func TestPredictEquivalence(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	reg := srv.Scheduler().Models()
+	rng := rand.New(rand.NewSource(42))
+	const dim, reqs, perReq = 32, 8, 3
+	batches := map[string][][]model.Example{}
+	want := map[string][][]float64{}
+	// add registers a model and builds its requests and their reference
+	// answers from the scorer itself, not through the registry.
+	add := func(id string, score Scorer, snap core.Snapshot, example func() model.Example) {
+		if err := reg.PutScored(id, score, snap); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < reqs; r++ {
+			exs := make([]model.Example, perReq)
+			for i := range exs {
+				exs[i] = example()
+			}
+			preds, err := score(snap.X, exs)
+			if err != nil {
+				t.Fatalf("%s: reference scoring: %v", id, err)
+			}
+			batches[id] = append(batches[id], exs)
+			want[id] = append(want[id], preds)
+		}
+	}
+
+	sparse := func() model.Example {
+		return model.Example{
+			Idx:  []int32{int32(rng.Intn(dim / 2)), int32(dim/2 + rng.Intn(dim/2))},
+			Vals: []float64{rng.NormFloat64(), rng.NormFloat64()},
+		}
+	}
+	for _, name := range []string{"svm", "lr", "ls", "lp", "qp", "sum"} {
+		spec, err := model.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, dim)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		score := func(x []float64, exs []model.Example) ([]float64, error) { return model.PredictBatch(spec, x, exs) }
+		add("glm-"+name, score, core.Snapshot{Workload: core.WorkloadGLM, Spec: name, Dataset: "synthetic", X: x}, sparse)
+	}
+
+	marg := make([]float64, dim)
+	for i := range marg {
+		marg[i] = rng.Float64()
+	}
+	add("gibbs-1", marginalScorer, core.Snapshot{Workload: core.WorkloadGibbs, Spec: "gibbs", Dataset: "paleo", X: marg},
+		func() model.Example { return model.Example{Idx: []int32{int32(rng.Intn(dim))}, Vals: []float64{1}} })
+
+	sizes := []int{6, 4, 3}
+	nnScore := func(x []float64, exs []model.Example) ([]float64, error) { return nn.PredictBatch(sizes, x, exs) }
+	add("nn-1", nnScore, core.Snapshot{Workload: core.WorkloadNN, Spec: "nn", Dataset: "synthetic", X: nn.NewNetwork(sizes, 7).Params()},
+		func() model.Example {
+			dense := make([]float64, sizes[0])
+			for j := range dense {
+				dense[j] = rng.Float64()
+			}
+			return model.DenseExample(dense)
+		})
+
+	client := ts.Client()
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for id, rs := range batches {
+		for r, exs := range rs {
+			body := predictRequest{Model: id}
+			for _, ex := range exs {
+				body.Examples = append(body.Examples, exampleJSON{Indices: ex.Idx, Values: ex.Vals})
+			}
+			wg.Add(1)
+			go func(id string, r int) {
+				defer wg.Done()
+				<-start
+				var out predictResponse
+				b, _ := json.Marshal(body)
+				resp, err := client.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(b))
+				if err != nil {
+					t.Errorf("%s/%d: %v", id, r, err)
+					return
+				}
+				defer resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("%s/%d: status %d", id, r, resp.StatusCode)
+					return
+				}
+				if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+					t.Errorf("%s/%d: decode: %v", id, r, err)
+					return
+				}
+				ref := want[id][r]
+				if len(out.Predictions) != len(ref) {
+					t.Errorf("%s/%d: %d predictions, want %d", id, r, len(out.Predictions), len(ref))
+					return
+				}
+				for i := range ref {
+					if out.Predictions[i] != ref[i] {
+						t.Errorf("%s/%d example %d: served %v != scorer %v (must be bit-identical)",
+							id, r, i, out.Predictions[i], ref[i])
+					}
+				}
+			}(id, r)
+		}
+	}
+	close(start)
+	wg.Wait()
 }

@@ -21,10 +21,11 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	if _, ok := c.Lookup(key); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	plan, err := core.Choose(spec, ds, numa.Local2)
+	dec, err := core.ChoosePlanModel(core.NewGLM(spec, ds), numa.Local2, core.ExecSimulated, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := dec.Plan
 	c.Store(key, plan)
 
 	got, ok := c.Lookup(key)
@@ -119,11 +120,13 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := core.Choose(spec, ds, numa.Local2)
+	wl := core.NewGLM(spec, ds)
+	dec, err := core.ChoosePlanModel(wl, numa.Local2, core.ExecSimulated, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.New(spec, ds, plan)
+	plan := dec.Plan
+	eng, err := core.NewWorkload(wl, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -372,18 +372,6 @@ type Options struct {
 	// CheckpointEvery snapshots every running job's engine state after
 	// each N completed epochs (requires Checkpoints); 0 disables.
 	CheckpointEvery int
-	// BatchWindow enables request micro-batching on POST /v1/predict:
-	// concurrent predictions for the same model are coalesced into one
-	// batched scorer call, gathered for up to this window after the
-	// first request arrives. 0 disables batching (requests score
-	// directly, the default). Server-level; schedulers ignore it.
-	BatchWindow time.Duration
-	// BatchMax caps the coalesced examples per flush; 0 means 256.
-	BatchMax int
-	// PredictQueue bounds the coalescer's admission queue; a full
-	// queue answers 429 with Retry-After instead of stacking latency.
-	// 0 means 1024. Ignored unless BatchWindow is set.
-	PredictQueue int
 	// Feedback is the self-tuning optimizer's observation store: every
 	// finished epoch records its wall clock against the executed plan's
 	// axes, and once a key crosses the store's observation threshold
@@ -395,15 +383,6 @@ type Options struct {
 	// from the static cost model alone, epochs record nothing, and the
 	// plan cache never invalidates on a winner flip.
 	DisableFeedback bool
-	// AutoBatch enables the AIMD controller that tunes the predict
-	// coalescer's flush window and batch cap from live p95 latency and
-	// the achieved coalescing factor. Requires BatchWindow; see
-	// BatchTunerConfig for the bounds. Server-level.
-	AutoBatch bool
-	// AutoBatchConfig bounds and paces the controller; zero values take
-	// the defaults documented on BatchTunerConfig. Ignored unless
-	// AutoBatch is set.
-	AutoBatchConfig BatchTunerConfig
 	// MaxBodyBytes caps the request body every POST handler will read;
 	// an oversized body answers 413 instead of exhausting memory. 0
 	// means 64 MiB; negative disables the cap. Server-level.
@@ -1004,22 +983,13 @@ func (s *Scheduler) planFor(j *job) (core.Plan, error) {
 		return plan, nil
 	}
 	s.counters.PlanCacheMiss()
-	if s.feedback == nil {
-		plan, err := core.ChooseWorkload(j.wl, j.top, exec)
-		if err != nil {
-			return s.planFallback(j, exec, err)
-		}
-		s.plans.Store(key, plan)
-		s.setPlanSource(j, planSourceStatic, 0)
-		return plan, nil
-	}
-	dec, err := core.ChoosePlanModel(j.wl, j.top, exec, jobCostModel{s: s, j: j})
+	dec, err := core.ChoosePlanModel(j.wl, j.top, exec, s.costModel(j))
 	if err != nil {
 		return s.planFallback(j, exec, err)
 	}
 	s.plans.Store(key, dec.Plan)
 	plan, source, predicted := dec.Plan, dec.Source, dec.PredictedSeconds
-	if dec.RunnerUp != nil && s.feedback.Explore() {
+	if dec.RunnerUp != nil && s.feedback != nil && s.feedback.Explore() {
 		plan = *dec.RunnerUp
 		source = planSourceExplore
 		predicted = s.predictFor(j, plan)
@@ -1077,6 +1047,15 @@ func (m jobCostModel) MeasuredSeconds(p core.Plan) (float64, bool) {
 	return m.s.feedback.Measured(m.s.obsKeyFor(m.j, p))
 }
 
+// costModel is the job's measured-cost source for the optimizer, or
+// nil (the static prior alone) when the feedback loop is disabled.
+func (s *Scheduler) costModel(j *job) core.CostModel {
+	if s.feedback == nil {
+		return nil
+	}
+	return jobCostModel{s: s, j: j}
+}
+
 // obsKeyFor builds the observation key for a plan executed by this
 // job: workload identity, dataset fingerprint, and the plan axes the
 // optimizer chooses between. The plan's own machine name is used (a
@@ -1116,7 +1095,7 @@ func (s *Scheduler) replan(j *job, exec core.ExecutorKind) {
 	if !ok {
 		return
 	}
-	dec, err := core.ChoosePlanModel(j.wl, j.top, exec, jobCostModel{s: s, j: j})
+	dec, err := core.ChoosePlanModel(j.wl, j.top, exec, s.costModel(j))
 	if err != nil {
 		return
 	}
