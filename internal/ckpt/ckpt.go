@@ -19,6 +19,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,11 +45,18 @@ const (
 )
 
 // Store is a file-backed checkpoint directory. All methods are safe
-// for concurrent use.
+// for concurrent use. A Store takes itself to be the directory's only
+// writer: it lists the directory once, in Open, and from then on keeps
+// its index of generations as it saves and removes files.
 type Store struct {
 	dir  string
 	keep int
 	mu   sync.Mutex
+	// gens maps every stored id to its generations in ascending order.
+	// Open builds it from one directory listing; Save, its garbage
+	// collection and Delete keep it, so none of them lists the
+	// directory, whose length grows by one file per job.
+	gens map[string][]uint64
 }
 
 // Options configures a Store.
@@ -75,12 +83,20 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
+	s := &Store{dir: dir, keep: opts.Keep, gens: map[string][]uint64{}}
 	for _, de := range names {
 		if strings.HasPrefix(de.Name(), tmpPrefix) {
 			_ = os.Remove(filepath.Join(dir, de.Name()))
+			continue
+		}
+		if id, gen, ok := parseFileName(de.Name()); ok {
+			s.gens[id] = append(s.gens[id], gen)
 		}
 	}
-	return &Store{dir: dir, keep: opts.Keep}, nil
+	for _, gens := range s.gens {
+		slices.Sort(gens)
+	}
+	return s, nil
 }
 
 // Dir returns the store's directory.
@@ -110,10 +126,7 @@ func (s *Store) Save(id string, snap core.Snapshot, meta []byte) (uint64, int, e
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	gens, err := s.generationsLocked(id)
-	if err != nil {
-		return 0, 0, err
-	}
+	gens := s.gens[id]
 	gen := uint64(1)
 	if len(gens) > 0 {
 		gen = gens[len(gens)-1] + 1
@@ -144,7 +157,8 @@ func (s *Store) Save(id string, snap core.Snapshot, meta []byte) (uint64, int, e
 		return 0, 0, fmt.Errorf("ckpt: %w", err)
 	}
 	s.syncDir()
-	s.gcLocked(id, append(gens, gen))
+	s.gens[id] = append(gens, gen)
+	s.gcLocked(id)
 	return gen, len(body), nil
 }
 
@@ -157,15 +171,21 @@ func (s *Store) syncDir() {
 	}
 }
 
-// gcLocked removes generations beyond the retention count, oldest
-// first. Callers hold s.mu.
-func (s *Store) gcLocked(id string, gens []uint64) {
+// gcLocked removes id's generations beyond the retention count, oldest
+// first. A generation whose file could not be removed stays indexed,
+// so a later Save tries again. Callers hold s.mu.
+func (s *Store) gcLocked(id string) {
+	gens := s.gens[id]
 	if s.keep < 0 || len(gens) <= s.keep {
 		return
 	}
+	var kept []uint64
 	for _, g := range gens[:len(gens)-s.keep] {
-		_ = os.Remove(filepath.Join(s.dir, fileName(id, g)))
+		if err := os.Remove(filepath.Join(s.dir, fileName(id, g))); err != nil && !os.IsNotExist(err) {
+			kept = append(kept, g)
+		}
 	}
+	s.gens[id] = append(kept, gens[len(gens)-s.keep:]...)
 }
 
 // Load returns the newest verifiable generation of id, the metadata
@@ -174,11 +194,8 @@ func (s *Store) gcLocked(id string, gens []uint64) {
 // generation exists at all.
 func (s *Store) Load(id string) (core.Snapshot, []byte, uint64, error) {
 	s.mu.Lock()
-	gens, err := s.generationsLocked(id)
+	gens := slices.Clone(s.gens[id])
 	s.mu.Unlock()
-	if err != nil {
-		return core.Snapshot{}, nil, 0, err
-	}
 	if len(gens) == 0 {
 		return core.Snapshot{}, nil, 0, fmt.Errorf("ckpt: no checkpoint for %q: %w", id, os.ErrNotExist)
 	}
@@ -220,15 +237,14 @@ func (s *Store) loadGeneration(id string, gen uint64) (core.Snapshot, []byte, er
 func (s *Store) Delete(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	gens, err := s.generationsLocked(id)
-	if err != nil {
-		return err
-	}
-	for _, g := range gens {
+	gens := s.gens[id]
+	for k, g := range gens {
 		if err := os.Remove(filepath.Join(s.dir, fileName(id, g))); err != nil && !os.IsNotExist(err) {
+			s.gens[id] = gens[k:]
 			return fmt.Errorf("ckpt: %w", err)
 		}
 	}
+	delete(s.gens, id)
 	return nil
 }
 
@@ -273,24 +289,6 @@ func (s *Store) List() ([]Entry, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
-}
-
-// generationsLocked returns id's stored generations in ascending
-// order. Callers hold s.mu (or tolerate racing writers).
-func (s *Store) generationsLocked(id string) ([]uint64, error) {
-	des, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: %w", err)
-	}
-	var gens []uint64
-	for _, de := range des {
-		gotID, gen, ok := parseFileName(de.Name())
-		if ok && gotID == id {
-			gens = append(gens, gen)
-		}
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
-	return gens, nil
 }
 
 // fileName builds "<escaped-id>.<gen:016x>.ckpt".

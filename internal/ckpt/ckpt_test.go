@@ -2,9 +2,11 @@ package ckpt
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -255,5 +257,83 @@ func TestPersistAcrossReopen(t *testing.T) {
 	}
 	if snap.Epoch != 4 || string(meta) != "m" {
 		t.Fatalf("reopened store returned epoch=%d meta=%q", snap.Epoch, meta)
+	}
+}
+
+// onDisk lists the directory's generations per id, as the index should
+// hold them.
+func onDisk(t *testing.T, dir string) map[string][]uint64 {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]uint64{}
+	for _, de := range des {
+		if id, gen, ok := parseFileName(de.Name()); ok {
+			out[id] = append(out[id], gen)
+		}
+	}
+	return out
+}
+
+// TestGenerationIndexConsistent: the in-memory generation index agrees
+// with the directory across Save, garbage collection, Delete and a
+// reopen, and generation numbers continue from it.
+func TestGenerationIndexConsistent(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Keep: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(s *Store, when string) {
+		t.Helper()
+		if want := onDisk(t, dir); !reflect.DeepEqual(s.gens, want) {
+			t.Fatalf("%s: index %v, directory %v", when, s.gens, want)
+		}
+	}
+	save := func(s *Store, id string, wantGen uint64) {
+		t.Helper()
+		gen, _, err := s.Save(id, testSnap(int(wantGen)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gen != wantGen {
+			t.Fatalf("Save(%q) = generation %d, want %d", id, gen, wantGen)
+		}
+		check(s, fmt.Sprintf("after Save(%q) gen %d", id, gen))
+	}
+	for g := uint64(1); g <= 5; g++ {
+		save(s, "a", g)
+	}
+	for g := uint64(1); g <= 3; g++ {
+		save(s, "b.c/d", g)
+	}
+	if err := s.Delete("a"); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "after Delete")
+	if _, _, _, err := s.Load("a"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Load after Delete: %v, want ErrNotExist", err)
+	}
+	if err := s.Delete("never-saved"); err != nil {
+		t.Fatal(err)
+	}
+	save(s, "a", 1)
+
+	// A crashed writer's temp file is swept, not indexed.
+	if err := os.WriteFile(filepath.Join(dir, tmpPrefix+"1"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir, Options{Keep: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(r, "after reopen")
+	save(r, "b.c/d", 4)
+	save(r, "a", 2)
+	snap, _, gen, err := r.Load("b.c/d")
+	if err != nil || gen != 4 || snap.Epoch != 4 {
+		t.Fatalf("Load after reopen: gen %d epoch %d err %v, want 4/4", gen, snap.Epoch, err)
 	}
 }

@@ -96,12 +96,11 @@ func TestChoosePlanModelMatchesReference(t *testing.T) {
 // corruptCopy returns a copy of ds whose CSR has an out-of-range
 // column index, leaving ds itself untouched.
 func corruptCopy(ds *data.Dataset) *data.Dataset {
-	bad := *ds
 	a := *ds.A
 	a.ColIdx = append([]int32(nil), a.ColIdx...)
 	a.ColIdx[0] = int32(a.Cols)
-	bad.A = &a
-	return &bad
+	return &data.Dataset{Name: ds.Name, Task: ds.Task, A: &a, Labels: ds.Labels, TrueModel: ds.TrueModel,
+		Anchors: ds.Anchors, Version: ds.Version}
 }
 
 // TestCorruptCSRRejected: every path that takes a dataset into planning

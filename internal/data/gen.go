@@ -17,6 +17,7 @@ package data
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"dimmwitted/internal/mat"
 )
@@ -77,7 +78,10 @@ type Dataset struct {
 	// for a smaller matrix are never reused after growth.
 	Version uint64
 
-	csc *mat.CSC
+	// cscOnce guards the lazy build of csc, so views shared across
+	// goroutines build their column form at most once, on first use.
+	cscOnce sync.Once
+	csc     *mat.CSC
 }
 
 // Rows returns the number of examples N.
@@ -89,14 +93,15 @@ func (d *Dataset) Cols() int { return d.A.Cols }
 // NNZ returns the number of nonzeros of the data matrix.
 func (d *Dataset) NNZ() int64 { return d.A.NNZ() }
 
-// CSC returns (and caches) the column-oriented form of the data
-// matrix, which column-wise and column-to-row plans stream.
+// CSC returns the column-oriented form of the data matrix, which
+// column-wise and column-to-row plans stream. It is built on the first
+// call and cached; concurrent callers share one build.
 func (d *Dataset) CSC() *mat.CSC {
-	if d.csc == nil {
-		d.csc = d.A.ToCSC()
-	}
+	d.cscOnce.Do(d.buildCSC)
 	return d.csc
 }
+
+func (d *Dataset) buildCSC() { d.csc = d.A.ToCSC() }
 
 // AvgRowNNZ returns the mean number of nonzeros per row (the paper's
 // average n_i).

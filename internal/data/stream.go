@@ -211,9 +211,12 @@ func (h *Handle) publishLocked(version uint64) *Dataset {
 }
 
 // prefixLocked materialises the immutable view over the first n rows.
+// The column form is left to the first plan that streams it (see
+// Dataset.CSC): building it here made every append cost a pass over
+// all rows ingested so far.
 func (h *Handle) prefixLocked(n int, version uint64) *Dataset {
 	nnz := h.rowPtr[n]
-	ds := &Dataset{
+	return &Dataset{
 		Name: h.name,
 		Task: h.task,
 		A: &mat.CSR{
@@ -226,8 +229,6 @@ func (h *Handle) prefixLocked(n int, version uint64) *Dataset {
 		Labels:  h.labels[:n:n],
 		Version: version,
 	}
-	ds.CSC() // materialise the lazy column form before sharing
-	return ds
 }
 
 // ViewAt rebuilds the published view that covered exactly `rows` rows.

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"dimmwitted/internal/mat"
 )
 
 // streamRows generates deterministic sparse rows for stream tests.
@@ -392,5 +394,64 @@ func TestStreamConcurrentReadersWhileAppending(t *testing.T) {
 	wg.Wait()
 	if v := h.View(); v.Rows() != 40+20*25 {
 		t.Fatalf("final rows = %d, want %d", v.Rows(), 40+20*25)
+	}
+}
+
+// TestStreamLazyCSCConcurrentReaders: publishing a view does not build
+// its column form; readers racing on a freshly published view's first
+// CSC call share one build, which matches the row form, while appends
+// keep publishing newer views.
+func TestStreamLazyCSCConcurrentReaders(t *testing.T) {
+	const cols = 40
+	h := NewStream("test-lazy-csc", cols, Classification)
+	for round := 0; round < 5; round++ {
+		view, err := h.Append(streamRows(int64(100+round), 30, cols))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if view.csc != nil {
+			t.Fatal("Append built the column form of the view it published")
+		}
+		const readers = 4
+		got := make([]*mat.CSC, readers)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				<-start
+				got[r] = view.CSC()
+			}(r)
+		}
+		close(start)
+		if _, err := h.Append(streamRows(int64(200+round), 10, cols)); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		for r := 1; r < readers; r++ {
+			if got[r] != got[0] {
+				t.Fatalf("round %d: readers got different column forms", round)
+			}
+		}
+		csc := view.CSC()
+		if csc.NNZ() != view.NNZ() {
+			t.Fatalf("round %d: CSC nnz %d, want %d", round, csc.NNZ(), view.NNZ())
+		}
+		want := make(map[[2]int]float64)
+		for i := 0; i < view.Rows(); i++ {
+			idx, vals := view.A.Row(i)
+			for k, j := range idx {
+				want[[2]int{i, int(j)}] = vals[k]
+			}
+		}
+		for j := 0; j < cols; j++ {
+			rows, vals := csc.Col(j)
+			for k, i := range rows {
+				if v, ok := want[[2]int{int(i), j}]; !ok || v != vals[k] {
+					t.Fatalf("round %d: CSC (%d,%d) = %v, CSR has %v (present %v)", round, i, j, vals[k], v, ok)
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -97,11 +98,24 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// writeJSON writes v as a JSON response.
+// writeJSON writes v as a JSON response. v is encoded before the
+// status goes out, so a value JSON cannot carry (a NaN, say) answers
+// 500 with the error envelope instead of the intended status and an
+// empty body.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
+		return
+	}
+	s.writeBody(w, code, buf.Bytes())
+}
+
+// writeBody writes an already-encoded JSON response.
+func (s *Server) writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
 }
 
 // writeError writes a JSON error envelope and counts it.
@@ -110,21 +124,44 @@ func (s *Server) writeError(w http.ResponseWriter, code int, err error) {
 	s.writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// decodeJSON decodes a request body into v, mapping a body-cap overrun
-// to 413 and any other decode failure to 400 (with what as the error
-// prefix). Returns false once the error response has been written.
+// decodeJSON decodes a request body into v with encoding/json, for the
+// small control bodies; the numeric predict and append bodies go
+// through decodeBody. Returns false once the error response has been
+// written.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any, what string) bool {
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("%s body exceeds the %d-byte limit (raise -max-body-bytes)", what, tooBig.Limit))
-			return false
-		}
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s request: %w", what, err))
+		s.bodyError(w, err, what)
 		return false
 	}
 	return true
+}
+
+// decodeBody reads the whole body into cb and decodes it with the
+// one-pass codec (see codec.go); decode is cb's predict or appendRows.
+// Errors answer as in decodeJSON.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, cb *codecBuf, what string, decode func() error) bool {
+	err := cb.readBody(r.Body, r.ContentLength)
+	if err == nil {
+		err = decode()
+	}
+	if err != nil {
+		s.bodyError(w, err, what)
+		return false
+	}
+	return true
+}
+
+// bodyError answers a request body that could not be read or decoded:
+// 413 for a body-cap overrun, 400 (with what as the error prefix)
+// otherwise.
+func (s *Server) bodyError(w http.ResponseWriter, err error, what string) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("%s body exceeds the %d-byte limit (raise -max-body-bytes)", what, tooBig.Limit))
+		return
+	}
+	s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s request: %w", what, err))
 }
 
 // trainResponse acknowledges a submitted job.
@@ -266,7 +303,9 @@ type predictRequest struct {
 	Examples []exampleJSON `json:"examples"`
 }
 
-// predictResponse carries one prediction per example, in order.
+// predictResponse carries one prediction per example, in order. It is
+// the answer's wire shape; appendPredictAnswer writes it without
+// reflection.
 type predictResponse struct {
 	Model       string    `json:"model"`
 	Predictions []float64 `json:"predictions"`
@@ -274,8 +313,10 @@ type predictResponse struct {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	cb := getCodecBuf()
+	defer putCodecBuf(cb)
 	var req predictRequest
-	if !s.decodeJSON(w, r, &req, "predict") {
+	if !s.decodeBody(w, r, cb, "predict", func() error { return cb.predict(&req) }) {
 		return
 	}
 	if len(req.Examples) == 0 {
@@ -304,12 +345,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, code, err)
 		return
 	}
+	cb.out, err = appendPredictAnswer(cb.out[:0], req.Model, preds)
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("encode predict answer: %w", err))
+		return
+	}
 	s.counters.PredictRequest(len(preds))
-	s.writeJSON(w, http.StatusOK, predictResponse{
-		Model:       req.Model,
-		Predictions: preds,
-		Count:       len(preds),
-	})
+	s.writeBody(w, http.StatusOK, cb.out)
 }
 
 // appendRowJSON is one ingested example: a sparse (indices, values)
@@ -341,8 +383,10 @@ type appendResponse struct {
 
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	cb := getCodecBuf()
+	defer putCodecBuf(cb)
 	var req appendRequest
-	if !s.decodeJSON(w, r, &req, "append") {
+	if !s.decodeBody(w, r, cb, "append", func() error { return cb.appendRows(&req) }) {
 		return
 	}
 	if len(req.Rows) == 0 {

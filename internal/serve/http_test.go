@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -609,4 +611,47 @@ func TestPredictEquivalence(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
+}
+
+// TestNonFinitePredictionAnswers500: a model whose answer JSON cannot
+// carry (a NaN weight gives a NaN score) answers 500 with the error
+// envelope naming the example, counted as an HTTP error, where it used
+// to answer 200 with an empty body. Any other response that fails to
+// encode answers the same way.
+func TestNonFinitePredictionAnswers500(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	spec, err := model.ByName("ls")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := core.Snapshot{Workload: core.WorkloadGLM, Spec: "ls", Dataset: "synthetic", X: []float64{math.NaN(), 1}}
+	if err := srv.Scheduler().Models().Put("nan-model", spec, snap); err != nil {
+		t.Fatal(err)
+	}
+	errorsBefore := srv.counters.Snapshot().HTTPErrors
+	resp, err := ts.Client().Post(ts.URL+"/v1/predict", "application/json",
+		strings.NewReader(`{"model":"nan-model","examples":[{"indices":[1],"values":[2]},{"dense":[1,1]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var envelope map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
+		t.Fatalf("status %d, body is not a JSON error envelope: %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("status %d, want 500", resp.StatusCode)
+	}
+	if msg := envelope["error"]; !strings.Contains(msg, "example 1") {
+		t.Errorf("error %q does not name example 1, the first non-finite prediction", msg)
+	}
+	if got := srv.counters.Snapshot().HTTPErrors - errorsBefore; got != 1 {
+		t.Errorf("HTTP errors counted %d, want 1", got)
+	}
+
+	rec := httptest.NewRecorder()
+	srv.writeJSON(rec, http.StatusOK, map[string]float64{"x": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), `"error"`) {
+		t.Errorf("writeJSON of +Inf: status %d body %q, want 500 with an error envelope", rec.Code, rec.Body.String())
+	}
 }
